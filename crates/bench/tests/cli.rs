@@ -128,6 +128,23 @@ fn errors_are_clean() {
 }
 
 #[test]
+fn text_graph_with_the_reserved_endpoint_is_a_clean_error() {
+    // `u32::MAX` is the NO_PARENT sentinel; the reader must reject it
+    // instead of overflowing `max endpoint + 1`.
+    let el = tmpfile("reserved.el");
+    std::fs::write(&el, "0 4294967295\n").unwrap();
+    let out = cli()
+        .args(["info", "--graph", el.to_str().unwrap(), "--text"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("NO_PARENT"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_file(el).ok();
+}
+
+#[test]
 fn bfs_trace_and_metrics_outputs() {
     let graph = tmpfile("bfs-trace.xbfs");
     let trace = tmpfile("bfs-trace.json");

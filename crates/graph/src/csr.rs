@@ -74,9 +74,13 @@ impl Csr {
     ///
     /// Returns `None` unless offsets are monotone, sized `n + 1`, end at
     /// `column_indices.len()`, every column index is in range, per-vertex
-    /// lists are strictly sorted (canonical), and the adjacency is
-    /// symmetric. Full validation makes this safe on untrusted input
-    /// (the binary decoder feeds it arbitrary bytes).
+    /// lists are strictly sorted (canonical) without self-loops, and the
+    /// adjacency is symmetric. Full validation makes this safe on untrusted
+    /// input (the binary decoder feeds it arbitrary bytes).
+    ///
+    /// After the O(V) offset checks, one O(V + E) pass over the rows
+    /// decides the rest; see [`Csr::is_symmetric`] for how it matches
+    /// mirrors without searching for them.
     pub fn from_parts(
         num_vertices: VertexId,
         row_offsets: Vec<u64>,
@@ -91,18 +95,12 @@ impl Csr {
         if *row_offsets.last()? != column_indices.len() as u64 {
             return None;
         }
-        if column_indices.iter().any(|&c| c >= num_vertices) {
-            return None;
-        }
         let csr = Self {
             num_vertices,
             row_offsets,
             column_indices,
         };
-        if !csr.is_canonical() || !csr.is_symmetric() {
-            return None;
-        }
-        Some(csr)
+        (csr.audit() == Audit::Sound).then_some(csr)
     }
 
     /// Number of vertices.
@@ -166,21 +164,81 @@ impl Csr {
             + (self.column_indices.len() * std::mem::size_of::<VertexId>()) as u64
     }
 
-    /// Check symmetry: `v ∈ adj(u) ⇔ u ∈ adj(v)`. O(E log d) — test helper.
+    /// Check symmetry: `v ∈ adj(u) ⇔ u ∈ adj(v)`. Only a canonical CSR
+    /// (see [`Csr::is_canonical`]) can pass.
+    ///
+    /// One O(V + E) pass with a per-vertex counter `matched[w]`: the number
+    /// of leading entries of `w`'s list already matched by a mirror. Rows
+    /// are walked in ascending order, so the lower neighbors `u < w` reach
+    /// `w` in exactly the order its sorted list holds them. Each upper
+    /// entry `w > u` of row `u` must therefore find `u` at
+    /// `w`'s next unmatched slot, and when row `u` is reached, its count of
+    /// lower entries must equal `matched[u]`. Only the upper entries touch
+    /// memory at random — no binary searches.
     pub fn is_symmetric(&self) -> bool {
-        self.vertices().all(|u| {
-            self.neighbors(u)
-                .iter()
-                .all(|&v| self.neighbors(v).binary_search(&u).is_ok())
-        })
+        self.audit() == Audit::Sound
     }
 
-    /// Check per-vertex neighbor lists are strictly sorted (no dups).
+    /// Check per-vertex neighbor lists are strictly sorted (no dups), in
+    /// range, and free of self-loops. Shares [`Csr::is_symmetric`]'s pass.
     pub fn is_canonical(&self) -> bool {
-        self.vertices()
-            .all(|u| self.neighbors(u).windows(2).all(|w| w[0] < w[1]))
-            && self.vertices().all(|u| !self.has_edge(u, u))
+        self.audit() != Audit::NonCanonical
     }
+
+    /// The single pass behind [`Csr::from_parts`], [`Csr::is_symmetric`]
+    /// and [`Csr::is_canonical`]. Assumes the offsets are monotone and end
+    /// at `column_indices.len()`.
+    fn audit(&self) -> Audit {
+        let n = self.num_vertices;
+        let offsets = &self.row_offsets;
+        let columns = &self.column_indices;
+        // Entries before the first row belong to no list but must still
+        // be in range.
+        if columns[..offsets[0] as usize].iter().any(|&c| c >= n) {
+            return Audit::NonCanonical;
+        }
+        let mut matched = vec![0u32; vix(n)];
+        let mut symmetric = true;
+        for u in self.vertices() {
+            let row = self.neighbors(u);
+            if row.windows(2).any(|p| p[0] >= p[1]) || row.last().is_some_and(|&w| w >= n) {
+                return Audit::NonCanonical;
+            }
+            let lower = row.partition_point(|&w| w < u);
+            if row.get(lower) == Some(&u) {
+                return Audit::NonCanonical;
+            }
+            // Every mirror of a lower entry was claimed by an earlier row.
+            symmetric &= lower as u64 == u64::from(matched[vix(u)]);
+            if !symmetric {
+                continue;
+            }
+            for &w in &row[lower..] {
+                let slot = offsets[vix(w)] + u64::from(matched[vix(w)]);
+                if slot >= offsets[vix(w) + 1] || columns[slot as usize] != u {
+                    symmetric = false;
+                    break;
+                }
+                matched[vix(w)] += 1;
+            }
+        }
+        if symmetric {
+            Audit::Sound
+        } else {
+            Audit::Asymmetric
+        }
+    }
+}
+
+/// What [`Csr::audit`] found, worst first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Audit {
+    /// A list is unsorted, duplicated, out of range, or has a self-loop.
+    NonCanonical,
+    /// Canonical, but some entry has no mirror.
+    Asymmetric,
+    /// Canonical and symmetric.
+    Sound,
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! * **Text edge list** — `u v` per line, the lingua franca of graph tools,
 //!   used by the examples to ingest user graphs.
 
-use crate::{Csr, EdgeList, VertexId};
+use crate::{Csr, EdgeList, VertexId, NO_PARENT};
 use std::io::{self, BufRead, Write};
 
 /// Magic tag guarding the binary format.
@@ -42,36 +42,6 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Little-endian cursor over a byte slice; every read is bounds-checked
-/// so truncated or hostile input surfaces as [`DecodeError::Truncated`].
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn take<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
-        let chunk = self
-            .bytes
-            .get(self.pos..self.pos + N)
-            .ok_or(DecodeError::Truncated)?;
-        self.pos += N;
-        Ok(chunk.try_into().expect("slice of length N"))
-    }
-
-    fn u32_le(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take::<4>()?))
-    }
-
-    fn u64_le(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take::<8>()?))
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-}
-
 /// Encode a CSR into the compact binary format.
 pub fn encode_csr(csr: &Csr) -> Vec<u8> {
     let offsets = csr.row_offsets();
@@ -92,43 +62,42 @@ pub fn encode_csr(csr: &Csr) -> Vec<u8> {
 }
 
 /// Decode a CSR from the binary format.
+///
+/// Both arrays are decoded in bulk and then checked once by
+/// [`Csr::from_parts`]. Bytes after the declared body are ignored.
 pub fn decode_csr(buf: impl AsRef<[u8]>) -> Result<Csr, DecodeError> {
-    let mut r = Reader {
-        bytes: buf.as_ref(),
-        pos: 0,
-    };
-    if r.bytes.len() < 24 {
-        return Err(DecodeError::Truncated);
-    }
-    if r.u32_le()? != MAGIC {
+    let bytes = buf.as_ref();
+    let (header, rest) = bytes
+        .split_first_chunk::<24>()
+        .ok_or(DecodeError::Truncated)?;
+    let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+    if word(0) != MAGIC {
         return Err(DecodeError::BadMagic);
     }
-    let version = r.u32_le()?;
-    if version != VERSION {
-        return Err(DecodeError::BadVersion(version));
+    if word(4) != VERSION {
+        return Err(DecodeError::BadVersion(word(4)));
     }
-    let n = r.u32_le()?;
-    let _reserved = r.u32_le()?;
-    let m = r.u64_le()?;
-    let offsets_len = n as u64 + 1;
+    let n = word(8);
+    let m = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
     // Check the declared sizes against what is actually present before
     // allocating, so a hostile header cannot request a huge buffer.
-    let body = offsets_len
-        .checked_mul(8)
-        .and_then(|o| m.checked_mul(4).map(|c| (o, c)))
-        .and_then(|(o, c)| o.checked_add(c))
+    let offsets_bytes = (u64::from(n) + 1) * 8;
+    let body = m
+        .checked_mul(4)
+        .and_then(|c| c.checked_add(offsets_bytes))
         .ok_or(DecodeError::Truncated)?;
-    if (r.remaining() as u64) < body {
+    if (rest.len() as u64) < body {
         return Err(DecodeError::Truncated);
     }
-    let mut offsets = Vec::with_capacity(offsets_len as usize);
-    for _ in 0..offsets_len {
-        offsets.push(r.u64_le()?);
-    }
-    let mut columns = Vec::with_capacity(m as usize);
-    for _ in 0..m {
-        columns.push(r.u32_le()?);
-    }
+    let (offsets, columns) = rest.split_at(offsets_bytes as usize);
+    let offsets = offsets
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+        .collect();
+    let columns = columns[..(m * 4) as usize]
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+        .collect();
     Csr::from_parts(n, offsets, columns).ok_or(DecodeError::Invalid)
 }
 
@@ -143,6 +112,10 @@ pub fn write_edge_list(el: &EdgeList, mut w: impl Write) -> io::Result<()> {
 /// Read a whitespace-separated edge list. Lines starting with `#` or `%`
 /// are comments. The vertex count is `max endpoint + 1` unless a larger
 /// `min_vertices` is supplied.
+///
+/// The endpoint `u32::MAX` is rejected with [`io::ErrorKind::InvalidData`]:
+/// it is the reserved [`NO_PARENT`] sentinel, and `max endpoint + 1` would
+/// not fit in a [`VertexId`].
 pub fn read_edge_list(r: impl BufRead, min_vertices: VertexId) -> io::Result<EdgeList> {
     let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
     let mut max_v: VertexId = 0;
@@ -154,9 +127,17 @@ pub fn read_edge_list(r: impl BufRead, min_vertices: VertexId) -> io::Result<Edg
         }
         let mut it = t.split_whitespace();
         let parse = |s: Option<&str>| -> io::Result<VertexId> {
-            s.ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing endpoint"))?
+            let v = s
+                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing endpoint"))?
                 .parse::<VertexId>()
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            if v == NO_PARENT {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("endpoint {v} is the reserved NO_PARENT sentinel"),
+                ));
+            }
+            Ok(v)
         };
         let s = parse(it.next())?;
         let d = parse(it.next())?;
@@ -260,5 +241,20 @@ mod tests {
     fn text_rejects_malformed() {
         assert!(read_edge_list("1\n".as_bytes(), 0).is_err());
         assert!(read_edge_list("a b\n".as_bytes(), 0).is_err());
+    }
+
+    #[test]
+    fn text_rejects_the_reserved_endpoint() {
+        for text in [
+            "0 4294967295\n",
+            "4294967295 0\n",
+            "4294967295 4294967295\n",
+        ] {
+            let err = read_edge_list(text.as_bytes(), 0).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{text:?}");
+        }
+        // The largest usable id still reads, with the id space just fitting.
+        let el = read_edge_list("0 4294967294\n".as_bytes(), 0).unwrap();
+        assert_eq!(el.num_vertices(), u32::MAX);
     }
 }

@@ -38,9 +38,12 @@ fn builtin_demo_graph() -> Csr {
 fn main() {
     let graph = match std::env::args().nth(1) {
         Some(path) => {
-            let file = std::fs::File::open(&path).expect("cannot open edge list");
-            let el =
-                io::read_edge_list(std::io::BufReader::new(file), 0).expect("malformed edge list");
+            let el = std::fs::File::open(&path)
+                .and_then(|file| io::read_edge_list(std::io::BufReader::new(file), 0))
+                .unwrap_or_else(|e| {
+                    eprintln!("error: {path}: {e}");
+                    std::process::exit(1)
+                });
             println!("loaded {} edges from {path}", el.len());
             xbfs::graph::Csr::from_edge_list(&el)
         }
