@@ -72,8 +72,6 @@ pub use policy_online::{
     SharedPolicy,
 };
 pub use predictor::SwitchPredictor;
-#[allow(deprecated)]
-pub use recovery::{resume_cross_resilient, run_cross_resilient, run_cross_resilient_with};
 pub use recovery::{RecoveredRun, ResilienceConfig, ResumeRecord, RetryPolicy, RunReport, Rung};
 pub use runtime::AdaptiveRuntime;
 pub use service::{

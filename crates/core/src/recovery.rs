@@ -23,7 +23,8 @@
 //!   [`CheckpointPolicy`] enabled,
 //!   the executing rung cuts a [`LevelCheckpoint`] at configurable level
 //!   boundaries. A failed rung no longer drags the whole traversal back
-//!   to level 0: the next rung (or, via [`resume_cross_resilient`], the
+//!   to level 0: the next rung (or, via
+//!   [`RunSession::resume`](crate::session::RunSession::resume), the
 //!   next *process*) resumes from the last checkpoint, translating a
 //!   GPU-resident frontier to host form when control moves down-ladder.
 //! * **Per-device circuit breakers** — every operation outcome feeds a
@@ -240,7 +241,7 @@ impl std::fmt::Display for Rung {
 }
 
 /// One resume of a rung from a checkpoint (in-process after a failure, or
-/// external via [`resume_cross_resilient`]).
+/// external via [`RunSession::resume`](crate::session::RunSession::resume)).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ResumeRecord {
     /// The rung that picked the traversal up.
@@ -283,8 +284,9 @@ pub struct RunReport {
     /// Simulated seconds spent making checkpoints durable (device-state
     /// pullbacks) and re-uploading state on a same-rung resume.
     pub checkpoint_seconds: f64,
-    /// For a run started by [`resume_cross_resilient`]: the level it
-    /// resumed at.
+    /// For a run started by
+    /// [`RunSession::resume`](crate::session::RunSession::resume): the
+    /// level it resumed at.
     pub resumed_from_level: Option<u32>,
     /// Previously-completed levels that had to be re-executed because the
     /// newest checkpoint was older than the failure point (0 when every
@@ -405,7 +407,7 @@ struct Recovery<'a> {
     checkpoints_taken: u32,
     checkpoint_bytes: u64,
     checkpoint_seconds: f64,
-    /// Set only by [`resume_cross_resilient`].
+    /// Set only by an external resume from a checkpoint.
     resumed_from_level: Option<u32>,
     /// `true` until the first `start_for` consumes the external-resume
     /// marker.
@@ -1044,8 +1046,7 @@ impl<'a> Recovery<'a> {
 
 /// Everything an execution needs besides its starting point: the graph,
 /// the platform, the fault plan, the failure policy, and the trace sink.
-/// [`RunSession`](crate::session::RunSession) assembles one of these; the
-/// deprecated free functions are thin shims that do the same.
+/// [`RunSession`](crate::session::RunSession) assembles one of these.
 pub(crate) struct ExecArgs<'a> {
     pub csr: &'a Csr,
     pub cpu: &'a ArchSpec,
@@ -1103,92 +1104,6 @@ pub(crate) fn execute_resume(
         Rung::Reference => &[Rung::Reference],
     };
     ladder(args, source, rec, rungs)
-}
-
-/// Run the cross-architecture combination under a fault plan, degrading
-/// down the ladder as devices fail. PR 1 compatibility entry point:
-/// checkpointing disabled, default breakers.
-///
-/// Returns a validated [`RecoveredRun`] or a typed error ­— the only
-/// errors that escape are argument validation, [`XbfsError::DeadlineExceeded`],
-/// and (if even the reference rung cannot produce a valid tree)
-/// [`XbfsError::Validation`] / the last rung's fault.
-#[deprecated(
-    note = "use `RunSession::on_platform(..).source(..).fault_plan(..).resilience(..).run()` instead"
-)]
-#[allow(clippy::too_many_arguments)] // the runtime's full failure surface
-pub fn run_cross_resilient(
-    csr: &Csr,
-    source: VertexId,
-    cpu: &ArchSpec,
-    gpu: &ArchSpec,
-    link: &Link,
-    params: &CrossParams,
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
-    deadline_s: Option<f64>,
-) -> Result<RecoveredRun, XbfsError> {
-    let config = ResilienceConfig {
-        retry: *retry,
-        deadline_s,
-        checkpoint: CheckpointPolicy::disabled(),
-        ..ResilienceConfig::default_runtime()
-    };
-    crate::session::RunSession::on_platform(csr, cpu, gpu, link, params)
-        .source(source)
-        .fault_plan(plan)
-        .resilience(config)
-        .run()
-}
-
-/// [`run_cross_resilient`] with the full [`ResilienceConfig`] surface:
-/// level-granular checkpoints (optionally spilled to disk) and per-device
-/// circuit breakers on top of retries and the deadline budget.
-#[deprecated(
-    note = "use `RunSession::on_platform(..).source(..).fault_plan(..).resilience(..).run()` instead"
-)]
-#[allow(clippy::too_many_arguments)] // the runtime's full failure surface
-pub fn run_cross_resilient_with(
-    csr: &Csr,
-    source: VertexId,
-    cpu: &ArchSpec,
-    gpu: &ArchSpec,
-    link: &Link,
-    params: &CrossParams,
-    plan: &FaultPlan,
-    config: &ResilienceConfig,
-) -> Result<RecoveredRun, XbfsError> {
-    crate::session::RunSession::on_platform(csr, cpu, gpu, link, params)
-        .source(source)
-        .fault_plan(plan)
-        .resilience(config.clone())
-        .run()
-}
-
-/// Resume a traversal from a [`LevelCheckpoint`] — same process or a
-/// fresh one (via [`LevelCheckpoint::load`]). The ladder starts at the
-/// checkpoint's rung and may degrade further; the clock, loss ledger,
-/// fault stream, jitter RNG, and breaker bank all continue exactly where
-/// the checkpointing run stopped, so a resumed run is indistinguishable
-/// from one that never died.
-#[deprecated(
-    note = "use `RunSession::on_platform(..).fault_plan(..).resilience(..).resume(ck)` instead"
-)]
-#[allow(clippy::too_many_arguments)] // the runtime's full failure surface
-pub fn resume_cross_resilient(
-    csr: &Csr,
-    cpu: &ArchSpec,
-    gpu: &ArchSpec,
-    link: &Link,
-    params: &CrossParams,
-    plan: &FaultPlan,
-    config: &ResilienceConfig,
-    checkpoint: &LevelCheckpoint,
-) -> Result<RecoveredRun, XbfsError> {
-    crate::session::RunSession::on_platform(csr, cpu, gpu, link, params)
-        .fault_plan(plan)
-        .resilience(config.clone())
-        .resume(checkpoint)
 }
 
 /// The degradation ladder shared by fresh and resumed entries.
@@ -1609,9 +1524,9 @@ fn run_rung_reference(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy shims are exercised on purpose here
 mod tests {
     use super::*;
+    use crate::session::RunSession;
     use xbfs_archsim::fault::ScheduledFault;
 
     fn setup() -> (Csr, u32, ArchSpec, ArchSpec, Link, CrossParams) {
@@ -1630,30 +1545,30 @@ mod tests {
         )
     }
 
+    /// The runtime defaults with checkpointing off.
+    fn no_checkpoints() -> ResilienceConfig {
+        ResilienceConfig {
+            checkpoint: CheckpointPolicy::disabled(),
+            ..ResilienceConfig::default_runtime()
+        }
+    }
+
     #[test]
     fn healthy_plan_stays_on_the_top_rung() {
         let (g, src, cpu, gpu, link, params) = setup();
-        let plan = FaultPlan::none();
-        let run = run_cross_resilient(
-            &g,
-            src,
-            &cpu,
-            &gpu,
-            &link,
-            &params,
-            &plan,
-            &RetryPolicy::default_runtime(),
-            None,
-        )
-        .expect("healthy run succeeds");
+        let run = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&FaultPlan::none())
+            .resilience(no_checkpoints())
+            .run()
+            .expect("healthy run succeeds");
         assert_eq!(run.report.rung, Rung::CrossCpuGpu);
         assert_eq!(run.report.rungs_tried, vec![Rung::CrossCpuGpu]);
         assert!(run.report.events.is_empty());
         assert_eq!(run.report.retries, 0);
         assert_eq!(run.report.recovery_seconds, 0.0);
         assert!(run.report.total_seconds > 0.0);
-        // Legacy entry: checkpointing off, nothing skipped, no breaker
-        // activity.
+        // Checkpointing off, nothing skipped, no breaker activity.
         assert_eq!(run.report.checkpoints_taken, 0);
         assert!(run.report.skipped_rungs.is_empty());
         assert!(run.report.breaker_transitions.is_empty());
@@ -1710,18 +1625,12 @@ mod tests {
             }],
             ..FaultPlan::none()
         };
-        let run = run_cross_resilient(
-            &g,
-            src,
-            &cpu,
-            &gpu,
-            &link,
-            &params,
-            &plan,
-            &RetryPolicy::default_runtime(),
-            None,
-        )
-        .expect("reference rung still serves");
+        let run = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&plan)
+            .resilience(no_checkpoints())
+            .run()
+            .expect("reference rung still serves");
         assert_eq!(run.report.rung, Rung::Reference);
         assert_eq!(
             run.report.rungs_tried,
@@ -1741,71 +1650,28 @@ mod tests {
     #[test]
     fn deadline_zero_budget_is_rejected_as_argument() {
         let (g, src, cpu, gpu, link, params) = setup();
-        let err = run_cross_resilient(
-            &g,
-            src,
-            &cpu,
-            &gpu,
-            &link,
-            &params,
-            &FaultPlan::none(),
-            &RetryPolicy::default_runtime(),
-            Some(0.0),
-        )
-        .unwrap_err();
+        let err = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&FaultPlan::none())
+            .resilience(ResilienceConfig {
+                deadline_s: Some(0.0),
+                ..no_checkpoints()
+            })
+            .run()
+            .unwrap_err();
         assert!(matches!(err, XbfsError::InvalidArgument { .. }));
     }
 
     #[test]
     fn bad_source_is_a_typed_error() {
         let (g, _, cpu, gpu, link, params) = setup();
-        let err = run_cross_resilient(
-            &g,
-            g.num_vertices() + 7,
-            &cpu,
-            &gpu,
-            &link,
-            &params,
-            &FaultPlan::none(),
-            &RetryPolicy::default_runtime(),
-            None,
-        )
-        .unwrap_err();
+        let err = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(g.num_vertices() + 7)
+            .fault_plan(&FaultPlan::none())
+            .resilience(no_checkpoints())
+            .run()
+            .unwrap_err();
         assert!(matches!(err, XbfsError::BadSource { .. }));
-    }
-
-    #[test]
-    fn checkpointing_off_matches_pr1_clock_exactly() {
-        // The `_with` entry with checkpointing disabled must be
-        // numerically identical to the legacy entry.
-        let (g, src, cpu, gpu, link, params) = setup();
-        let plan = FaultPlan {
-            p_transfer_failure: 0.3,
-            p_kernel_timeout: 0.2,
-            ..FaultPlan::none()
-        };
-        let legacy = run_cross_resilient(
-            &g,
-            src,
-            &cpu,
-            &gpu,
-            &link,
-            &params,
-            &plan,
-            &RetryPolicy::default_runtime(),
-            None,
-        )
-        .expect("legacy");
-        let config = ResilienceConfig {
-            checkpoint: CheckpointPolicy::disabled(),
-            ..ResilienceConfig::default_runtime()
-        };
-        let with = run_cross_resilient_with(&g, src, &cpu, &gpu, &link, &params, &plan, &config)
-            .expect("with");
-        assert_eq!(legacy.output, with.output);
-        assert_eq!(legacy.report.total_seconds, with.report.total_seconds);
-        assert_eq!(legacy.report.events, with.report.events);
-        assert_eq!(legacy.report.recovery_seconds, with.report.recovery_seconds);
     }
 
     #[test]
@@ -1822,7 +1688,11 @@ mod tests {
             checkpoint: CheckpointPolicy::every(1),
             ..ResilienceConfig::default_runtime()
         };
-        let run = run_cross_resilient_with(&g, src, &cpu, &gpu, &link, &params, &plan, &config)
+        let run = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&plan)
+            .resilience(config.clone())
+            .run()
             .expect("cpu rung serves");
         assert_eq!(run.report.rung, Rung::CpuOnly);
         assert_eq!(validate(&g, &run.output), Ok(()));
@@ -1868,11 +1738,18 @@ mod tests {
             ..ResilienceConfig::default_runtime()
         };
         let plan = FaultPlan::none();
-        let full = run_cross_resilient_with(&g, src, &cpu, &gpu, &link, &params, &plan, &config)
+        let full = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&plan)
+            .resilience(config.clone())
+            .run()
             .expect("healthy spilling run");
         let ck = LevelCheckpoint::load(&path_s).expect("spill exists");
         assert!(ck.level() >= 2);
-        let resumed = resume_cross_resilient(&g, &cpu, &gpu, &link, &params, &plan, &config, &ck)
+        let resumed = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .fault_plan(&plan)
+            .resilience(config)
+            .resume(&ck)
             .expect("resume");
         assert_eq!(resumed.output, full.output);
         assert_eq!(resumed.report.rung, full.report.rung);
@@ -1944,7 +1821,11 @@ mod tests {
             ..FaultPlan::none()
         };
         let config = ResilienceConfig::default_runtime();
-        let run = run_cross_resilient_with(&g, src, &cpu, &gpu, &link, &params, &plan, &config)
+        let run = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&plan)
+            .resilience(config.clone())
+            .run()
             .expect("a lower rung serves a clean tree");
         assert_eq!(validate(&g, &run.output), Ok(()));
         assert_ne!(run.report.rung, Rung::CrossCpuGpu);
@@ -2117,31 +1998,21 @@ mod tests {
     fn checksums_charge_the_simulated_clock() {
         let (g, src, cpu, gpu, link, params) = setup();
         let plan = FaultPlan::none();
-        let off = run_cross_resilient_with(
-            &g,
-            src,
-            &cpu,
-            &gpu,
-            &link,
-            &params,
-            &plan,
-            &ResilienceConfig::default_runtime(),
-        )
-        .expect("clean run");
-        let on = run_cross_resilient_with(
-            &g,
-            src,
-            &cpu,
-            &gpu,
-            &link,
-            &params,
-            &plan,
-            &ResilienceConfig {
+        let off = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&plan)
+            .resilience(ResilienceConfig::default_runtime())
+            .run()
+            .expect("clean run");
+        let on = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&plan)
+            .resilience(ResilienceConfig {
                 checksum_transfers: true,
                 ..ResilienceConfig::default_runtime()
-            },
-        )
-        .expect("clean checksummed run");
+            })
+            .run()
+            .expect("clean checksummed run");
         // Integrity is not free: same tree, strictly more simulated time.
         assert_eq!(on.output, off.output);
         assert!(on.report.total_seconds > off.report.total_seconds);
@@ -2152,31 +2023,21 @@ mod tests {
     fn scrub_on_is_free_and_identical_when_nothing_is_corrupt() {
         let (g, src, cpu, gpu, link, params) = setup();
         let plan = FaultPlan::none();
-        let off = run_cross_resilient_with(
-            &g,
-            src,
-            &cpu,
-            &gpu,
-            &link,
-            &params,
-            &plan,
-            &ResilienceConfig::default_runtime(),
-        )
-        .expect("clean run");
-        let on = run_cross_resilient_with(
-            &g,
-            src,
-            &cpu,
-            &gpu,
-            &link,
-            &params,
-            &plan,
-            &ResilienceConfig {
+        let off = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&plan)
+            .resilience(ResilienceConfig::default_runtime())
+            .run()
+            .expect("clean run");
+        let on = RunSession::on_platform(&g, &cpu, &gpu, &link, &params)
+            .source(src)
+            .fault_plan(&plan)
+            .resilience(ResilienceConfig {
                 scrub: ScrubPolicy::every_level(),
                 ..ResilienceConfig::default_runtime()
-            },
-        )
-        .expect("clean scrubbed run");
+            })
+            .run()
+            .expect("clean scrubbed run");
         // The scrubber overlaps with kernel execution on the simulated
         // platform: a fault-free run is bit- and clock-identical.
         assert_eq!(on.output, off.output);

@@ -96,20 +96,6 @@ impl QueryRequest {
         }
     }
 
-    /// A fault-free query with no deadline.
-    #[deprecated(
-        note = "use `QueryRequest::builder(id, source).arrival(arrival_s).build()` instead"
-    )]
-    pub fn new(id: u64, source: VertexId, arrival_s: f64) -> Self {
-        Self {
-            id,
-            source,
-            arrival_s,
-            deadline_s: None,
-            fault_plan: None,
-        }
-    }
-
     /// The effective fault plan (no faults when the request omitted one).
     pub fn plan(&self) -> FaultPlan {
         self.fault_plan.clone().unwrap_or_else(FaultPlan::none)

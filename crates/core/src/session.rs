@@ -2,10 +2,9 @@
 //! cross-architecture execution — and [`BatchSession`], its multi-source
 //! sibling that serves up to 64 lane-packed traversals per batch.
 //!
-//! PR 2 left the crate with six overlapping ways to start a traversal
-//! (three free functions in [`crate::recovery`], three methods on
-//! [`AdaptiveRuntime`]), all of them positional-argument walls. This
-//! builder replaces the lot:
+//! One builder configures a traversal — platform, source, fault plan,
+//! resilience, checkpoints, trace sink — instead of a positional-argument
+//! wall per combination of knobs:
 //!
 //! ```no_run
 //! use xbfs_core::prelude::*;
@@ -26,8 +25,8 @@
 //! Every knob has a production-sane default: no faults, the runtime
 //! resilience defaults, a disabled ([`NullSink`]) trace sink, and — on the
 //! [`RunSession::new`] path — switch parameters predicted from the graph's
-//! statistics. The deprecated free functions and runtime methods are thin
-//! shims over this type.
+//! statistics. This builder is the only entry point to the resilient
+//! runtime.
 //!
 //! [`NullSink`]: xbfs_engine::trace::NullSink
 
@@ -52,7 +51,7 @@ enum Platform<'a> {
         rt: &'a AdaptiveRuntime,
         stats: &'a GraphStats,
     },
-    /// Explicit device specs and parameters (tests, experiments, shims).
+    /// Explicit device specs and parameters (tests, experiments).
     Explicit {
         cpu: &'a ArchSpec,
         gpu: &'a ArchSpec,
@@ -193,6 +192,12 @@ impl<'a> RunSession<'a> {
     }
 
     /// Start the full degradation ladder from the configured source.
+    ///
+    /// Returns a validated [`RecoveredRun`] or a typed error: the only
+    /// errors that escape are argument validation,
+    /// [`XbfsError::DeadlineExceeded`], and (if even the reference rung
+    /// cannot produce a valid tree) [`XbfsError::Validation`] or the last
+    /// rung's fault.
     pub fn run(self) -> Result<RecoveredRun, XbfsError> {
         let Some(source) = self.source else {
             return Err(XbfsError::InvalidArgument {
@@ -219,7 +224,10 @@ impl<'a> RunSession<'a> {
 
     /// Resume the ladder from `checkpoint` (typically loaded from a spill
     /// file after a crash). The source comes from the checkpoint; a
-    /// configured [`source`](Self::source) is ignored.
+    /// configured [`source`](Self::source) is ignored. The ladder starts
+    /// at the checkpoint's rung and may degrade further; the clock, loss
+    /// ledger, fault stream, jitter RNG and breaker bank continue exactly
+    /// where the checkpointing run stopped.
     pub fn resume(self, checkpoint: &LevelCheckpoint) -> Result<RecoveredRun, XbfsError> {
         let (cpu, gpu, link, params) = self.resolve();
         execute_resume(

@@ -45,7 +45,7 @@ pub mod validate;
 
 pub use error::XbfsError;
 pub use hybrid::TraversalState;
-pub use par::{run_multi, run_multi_traced, QueryPool, MAX_LANES};
+pub use par::{run_multi, run_multi_traced, MAX_LANES};
 pub use policy::{AlwaysBottomUp, AlwaysTopDown, Direction, FixedMN, SwitchContext, SwitchPolicy};
 pub use scrub::ScrubPolicy;
 pub use stats::{LevelRecord, Traversal};

@@ -31,7 +31,7 @@ mod pool;
 mod topdown;
 
 pub use multi::{run_multi, run_multi_traced, MAX_LANES};
-pub use pool::{parallel_ranges, payload_to_string, try_parallel_ranges, QueryPool};
+pub use pool::{parallel_ranges, payload_to_string, try_parallel_ranges};
 
 use crate::{
     stats::LevelRecord,

@@ -32,10 +32,7 @@ use std::time::Instant;
 use super::multi::MultiParState;
 use super::{bottomup, multi, topdown, ParState};
 use crate::error::XbfsError;
-use crate::policy::SwitchPolicy;
-use crate::stats::Traversal;
-use crate::trace::{TraceEvent, TraceSink, NULL_SINK};
-use crate::Direction;
+use crate::trace::{TraceEvent, TraceSink};
 use xbfs_graph::{AtomicBitmap, Csr, VertexId};
 
 /// Render a caught panic payload for diagnostics, preserving the
@@ -418,13 +415,12 @@ struct EpochState {
     shutdown: bool,
 }
 
-/// The chunk-claiming loop shared by both pool schedulers: claim chunks
-/// of `job` off `cursor` until the item space drains, accumulating into a
+/// The chunk-claiming loop of a [`WorkerPool`] worker: claim chunks of
+/// `job` off `cursor` until the item space drains, accumulating into a
 /// fresh [`Partial`]. Returns the partial plus the first chunk panic,
-/// converted to a typed [`XbfsError::KernelPanic`]. One function so the
-/// per-traversal [`WorkerPool`] and the per-service [`QueryPool`] cannot
-/// drift in kernel behavior. Emits one kernel span per participating
-/// worker when `sink` is enabled, with timestamps relative to `t0`.
+/// converted to a typed [`XbfsError::KernelPanic`]. Emits one kernel span
+/// per participating worker when `sink` is enabled, with timestamps
+/// relative to `t0`.
 fn claim_chunks(
     csr: &Csr,
     state: &ParState,
@@ -729,386 +725,6 @@ impl WorkerPool {
     }
 }
 
-/// One query's level dispatch inside a [`QueryPool`]. The persistent
-/// workers cannot borrow from a caller's stack the way the scoped
-/// per-traversal pool does, so everything mutable a level touches — the
-/// query's traversal state and its trace sink — travels through the job
-/// slot behind `Arc`s, owned by the query, shared with workers only for
-/// the duration of one dispatch.
-struct QueryJob {
-    job: LevelJob,
-    state: Arc<ParState>,
-    sink: Option<Arc<dyn TraceSink + Send + Sync>>,
-    /// Start instant of the owning query — the origin for its kernel-span
-    /// wall timestamps, so per-query traces start near zero no matter how
-    /// long the pool has been alive.
-    t0: Instant,
-}
-
-/// Internals shared between a [`QueryPool`] handle and its persistent
-/// worker threads. Same epoch/cursor/partials machinery as [`WorkerPool`];
-/// the differences are ownership (`Arc`, not scope borrows) and that the
-/// graph and per-query state live behind shared pointers.
-struct QueryShared {
-    csr: Arc<Csr>,
-    threads: usize,
-    job: RwLock<Option<QueryJob>>,
-    cursor: AtomicUsize,
-    epoch: Mutex<EpochState>,
-    wake: Condvar,
-    done: Mutex<usize>,
-    all_done: Condvar,
-    partials: Vec<Mutex<Partial>>,
-    panic: Mutex<Option<XbfsError>>,
-}
-
-impl QueryShared {
-    /// Worker body for one epoch: read the query job out of the slot and
-    /// chew chunks into this worker's partial.
-    fn work(&self, worker: usize) {
-        let guard = self.job.read().unwrap_or_else(|e| e.into_inner());
-        let Some(q) = guard.as_ref() else {
-            return;
-        };
-        let sink: &dyn TraceSink = match &q.sink {
-            Some(s) => &**s,
-            None => &NULL_SINK,
-        };
-        let (local, failure) = claim_chunks(
-            &self.csr,
-            &q.state,
-            &q.job,
-            &self.cursor,
-            sink,
-            q.t0,
-            worker,
-        );
-        if let Some(err) = failure {
-            self.record_panic(err);
-        }
-        *self.partials[worker]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = local;
-    }
-
-    fn record_panic(&self, err: XbfsError) {
-        let mut slot = self.panic.lock().unwrap_or_else(|e| e.into_inner());
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-    }
-
-    /// Persistent worker body: park until an epoch advances, work, report
-    /// done, repeat until shutdown. Never unwinds (chunk panics become
-    /// typed errors; anything escaping the belt is recorded too), so a
-    /// panicking query can never wedge the done barrier or kill a worker
-    /// the next query needs.
-    fn worker_loop(&self, worker: usize) {
-        let mut seen = 0u64;
-        loop {
-            {
-                let mut e = self.epoch.lock().unwrap_or_else(|e| e.into_inner());
-                loop {
-                    if e.shutdown {
-                        return;
-                    }
-                    if e.epoch > seen {
-                        seen = e.epoch;
-                        break;
-                    }
-                    e = self.wake.wait(e).unwrap_or_else(|e| e.into_inner());
-                }
-            }
-            if catch_unwind(AssertUnwindSafe(|| self.work(worker))).is_err() {
-                self.record_panic(XbfsError::KernelPanic {
-                    payload: "worker scheduling loop panicked".to_string(),
-                    range: None,
-                });
-            }
-            let mut d = self.done.lock().unwrap_or_else(|e| e.into_inner());
-            *d += 1;
-            self.all_done.notify_one();
-        }
-    }
-}
-
-/// A persistent work-stealing pool serving many traversals over one
-/// shared, immutable graph — the engine half of the multi-tenant query
-/// service.
-///
-/// Where the per-traversal `WorkerPool` borrows the graph and traversal
-/// state from the caller's stack via scoped threads, a `QueryPool` holds
-/// the graph behind `Arc<Csr>` and spawns its `threads - 1` workers
-/// **once**, at construction. Every query then owns its whole mutable
-/// footprint — a fresh `ParState` (parent/level
-/// atomics), frontier vectors, its trace sink — and shares it with the
-/// workers only through the job slot, one level at a time. Nothing about
-/// one query is reachable from another, which is what makes per-query
-/// fault isolation possible one layer up.
-///
-/// Concurrent callers are welcome (`&self` everywhere, the type is
-/// `Sync`): an internal driver lock serializes traversals over the shared
-/// worker set, so each query gets the full pool and results are identical
-/// to its solo run. Queries fail *individually*: a worker panic inside a
-/// query surfaces as that query's typed [`XbfsError::KernelPanic`], the
-/// pool resets its slots, and the next query runs unaffected.
-pub struct QueryPool {
-    shared: Arc<QueryShared>,
-    /// Serializes traversals over the shared workers. Held with
-    /// poison-recovery so an unwinding caller cannot brick the pool.
-    driver: Mutex<()>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl QueryPool {
-    /// Build a pool over `csr` with `threads` total workers (the calling
-    /// thread participates in every level, so `threads - 1` helpers are
-    /// spawned). `threads == 1` spawns nothing and runs queries inline —
-    /// the same sequential degeneration as the per-traversal pool.
-    pub fn new(csr: Arc<Csr>, threads: usize) -> Result<Self, XbfsError> {
-        if threads == 0 {
-            return Err(XbfsError::InvalidArgument {
-                what: "query pool needs at least one thread".to_string(),
-            });
-        }
-        let shared = Arc::new(QueryShared {
-            csr,
-            threads,
-            job: RwLock::new(None),
-            cursor: AtomicUsize::new(0),
-            epoch: Mutex::new(EpochState {
-                epoch: 0,
-                shutdown: false,
-            }),
-            wake: Condvar::new(),
-            done: Mutex::new(0),
-            all_done: Condvar::new(),
-            partials: (0..threads)
-                .map(|_| Mutex::new(Partial::default()))
-                .collect(),
-            panic: Mutex::new(None),
-        });
-        let handles = (1..threads)
-            .map(|w| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("xbfs-query-{w}"))
-                    .spawn(move || shared.worker_loop(w))
-                    .expect("spawn query-pool worker")
-            })
-            .collect();
-        Ok(Self {
-            shared,
-            driver: Mutex::new(()),
-            handles,
-        })
-    }
-
-    /// The shared graph this pool serves.
-    pub fn csr(&self) -> &Arc<Csr> {
-        &self.shared.csr
-    }
-
-    /// Total worker count (including the calling thread).
-    pub fn threads(&self) -> usize {
-        self.shared.threads
-    }
-
-    /// Run one complete traversal from `source`, untraced.
-    ///
-    /// Unlike [`super::run`], failures are typed: an out-of-range source
-    /// is [`XbfsError::BadSource`] and a worker panic is that query's
-    /// [`XbfsError::KernelPanic`] — the pool survives both.
-    pub fn run(
-        &self,
-        source: VertexId,
-        policy: &mut dyn SwitchPolicy,
-    ) -> Result<Traversal, XbfsError> {
-        self.run_inner(source, policy, None)
-    }
-
-    /// [`QueryPool::run`] with the query's events reported to `sink`
-    /// (shared with the workers for the query's duration, hence `Arc`).
-    pub fn run_traced(
-        &self,
-        source: VertexId,
-        policy: &mut dyn SwitchPolicy,
-        sink: Arc<dyn TraceSink + Send + Sync>,
-    ) -> Result<Traversal, XbfsError> {
-        self.run_inner(source, policy, Some(sink))
-    }
-
-    fn run_inner(
-        &self,
-        source: VertexId,
-        policy: &mut dyn SwitchPolicy,
-        sink: Option<Arc<dyn TraceSink + Send + Sync>>,
-    ) -> Result<Traversal, XbfsError> {
-        let csr = Arc::clone(&self.shared.csr);
-        let n = csr.num_vertices();
-        if source >= n {
-            return Err(XbfsError::BadSource {
-                source,
-                num_vertices: n,
-            });
-        }
-        let _exclusive = self.driver.lock().unwrap_or_else(|e| e.into_inner());
-        let t0 = Instant::now();
-        let state = Arc::new(ParState::init(n, source));
-        let sink_ref: &dyn TraceSink = match &sink {
-            Some(s) => &**s,
-            None => &NULL_SINK,
-        };
-        let mut failed: Option<XbfsError> = None;
-        let records = super::drive(
-            &csr,
-            source,
-            policy,
-            sink_ref,
-            |frontier, direction, next_level| {
-                if failed.is_some() {
-                    // A dispatch already failed; return an empty outcome so
-                    // the driver's frontier drains and the loop terminates.
-                    return (StolenOutcome::default(), 0);
-                }
-                let res = match direction {
-                    Direction::TopDown => {
-                        let scanned = frontier.len() as u64;
-                        self.dispatch(
-                            LevelJob::TopDown {
-                                frontier,
-                                next_level,
-                            },
-                            &state,
-                            &sink,
-                            t0,
-                        )
-                        .map(|()| (self.collect(), scanned))
-                    }
-                    Direction::BottomUp => {
-                        let bits = AtomicBitmap::new(n as usize);
-                        self.dispatch(LevelJob::Publish { frontier, bits }, &state, &sink, t0)
-                            .and_then(|()| {
-                                let bits = self.take_published();
-                                self.dispatch(
-                                    LevelJob::BottomUp { bits, next_level },
-                                    &state,
-                                    &sink,
-                                    t0,
-                                )
-                                .map(|()| (self.collect(), n as u64))
-                            })
-                    }
-                };
-                match res {
-                    Ok(v) => v,
-                    Err(e) => {
-                        failed = Some(e);
-                        (StolenOutcome::default(), 0)
-                    }
-                }
-            },
-        );
-        if let Some(err) = failed {
-            return Err(err);
-        }
-        let state = Arc::try_unwrap(state)
-            .ok()
-            .expect("job slot released after the final level");
-        Ok(Traversal {
-            output: state.into_output(),
-            levels: records,
-        })
-    }
-
-    /// Publish one level job, run it across every worker (the caller
-    /// participates as worker 0), and wait for the done barrier. A chunk
-    /// panic anywhere returns the query's typed error after resetting the
-    /// pool — job slot cleared, partials drained — so the *next* query
-    /// starts clean.
-    fn dispatch(
-        &self,
-        job: LevelJob,
-        state: &Arc<ParState>,
-        sink: &Option<Arc<dyn TraceSink + Send + Sync>>,
-        t0: Instant,
-    ) -> Result<(), XbfsError> {
-        let sh = &*self.shared;
-        *sh.job.write().unwrap_or_else(|e| e.into_inner()) = Some(QueryJob {
-            job,
-            state: Arc::clone(state),
-            sink: sink.clone(),
-            t0,
-        });
-        sh.cursor.store(0, Ordering::Relaxed);
-        if sh.threads > 1 {
-            let mut e = sh.epoch.lock().unwrap_or_else(|e| e.into_inner());
-            e.epoch += 1;
-            sh.wake.notify_all();
-        }
-        sh.work(0);
-        if sh.threads > 1 {
-            let mut d = sh.done.lock().unwrap_or_else(|e| e.into_inner());
-            while *d < sh.threads - 1 {
-                d = sh.all_done.wait(d).unwrap_or_else(|e| e.into_inner());
-            }
-            *d = 0;
-        }
-        let failed = sh.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
-        if let Some(err) = failed {
-            *sh.job.write().unwrap_or_else(|e| e.into_inner()) = None;
-            for slot in &sh.partials {
-                let _ = std::mem::take(&mut *slot.lock().unwrap_or_else(|e| e.into_inner()));
-            }
-            return Err(err);
-        }
-        Ok(())
-    }
-
-    /// Drain every worker's partial into one outcome and release the job
-    /// slot (and with it the workers' handle on the query's state).
-    fn collect(&self) -> StolenOutcome {
-        let mut out = StolenOutcome::default();
-        for slot in &self.shared.partials {
-            let partial = std::mem::take(&mut *slot.lock().unwrap_or_else(|e| e.into_inner()));
-            partial.merge_into(&mut out);
-        }
-        *self.shared.job.write().unwrap_or_else(|e| e.into_inner()) = None;
-        out
-    }
-
-    /// Take the published bitmap back out of the job slot after a
-    /// [`LevelJob::Publish`] dispatch.
-    fn take_published(&self) -> AtomicBitmap {
-        match self
-            .shared
-            .job
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-        {
-            Some(QueryJob {
-                job: LevelJob::Publish { bits, .. },
-                ..
-            }) => bits,
-            _ => unreachable!("publish job must be in the slot"),
-        }
-    }
-}
-
-impl Drop for QueryPool {
-    fn drop(&mut self) {
-        {
-            let mut e = self.shared.epoch.lock().unwrap_or_else(|e| e.into_inner());
-            e.shutdown = true;
-            self.shared.wake.notify_all();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1287,148 +903,6 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
-    }
-
-    #[test]
-    fn query_pool_matches_per_traversal_run() {
-        let g = Arc::new(xbfs_graph::rmat::rmat_csr(10, 16));
-        for threads in [1, 2, 4] {
-            let pool = QueryPool::new(Arc::clone(&g), threads).expect("pool");
-            for source in [0u32, 3, 17] {
-                let solo =
-                    super::super::run(&g, source, &mut crate::FixedMN::new(14.0, 24.0), threads);
-                let pooled = pool
-                    .run(source, &mut crate::FixedMN::new(14.0, 24.0))
-                    .expect("query");
-                assert_eq!(
-                    solo.output.levels, pooled.output.levels,
-                    "threads={threads}"
-                );
-                assert_eq!(solo.levels, pooled.levels, "threads={threads}");
-                assert_eq!(crate::validate(&g, &pooled.output), Ok(()));
-            }
-        }
-    }
-
-    #[test]
-    fn query_pool_single_thread_matches_sequential_exactly() {
-        let g = Arc::new(xbfs_graph::rmat::rmat_csr(8, 16));
-        let pool = QueryPool::new(Arc::clone(&g), 1).expect("pool");
-        let seq = crate::hybrid::run(&g, 0, &mut crate::AlwaysTopDown);
-        let pooled = pool.run(0, &mut crate::AlwaysTopDown).expect("query");
-        assert_eq!(seq.output, pooled.output);
-        assert_eq!(seq.levels, pooled.levels);
-    }
-
-    #[test]
-    fn query_pool_rejects_bad_source_as_typed_error() {
-        let g = Arc::new(xbfs_graph::gen::path(8));
-        let pool = QueryPool::new(Arc::clone(&g), 2).expect("pool");
-        let err = pool
-            .run(99, &mut crate::AlwaysTopDown)
-            .expect_err("out-of-range source");
-        assert_eq!(
-            err,
-            XbfsError::BadSource {
-                source: 99,
-                num_vertices: 8
-            }
-        );
-        // The pool is untouched: a real query still runs.
-        let t = pool.run(0, &mut crate::AlwaysTopDown).expect("query");
-        assert_eq!(t.output.visited_count(), 8);
-    }
-
-    #[test]
-    fn query_pool_zero_threads_is_a_typed_error() {
-        let g = Arc::new(xbfs_graph::gen::path(4));
-        assert!(matches!(
-            QueryPool::new(g, 0),
-            Err(XbfsError::InvalidArgument { .. })
-        ));
-    }
-
-    #[test]
-    fn query_pool_is_shareable_across_caller_threads() {
-        let g = Arc::new(xbfs_graph::rmat::rmat_csr(9, 16));
-        let pool = QueryPool::new(Arc::clone(&g), 3).expect("pool");
-        let expected: Vec<_> = (0..4u32)
-            .map(|s| {
-                super::super::run(&g, s, &mut crate::FixedMN::new(14.0, 24.0), 3)
-                    .output
-                    .levels
-            })
-            .collect();
-        std::thread::scope(|s| {
-            for (source, want) in expected.iter().enumerate() {
-                let pool = &pool;
-                s.spawn(move || {
-                    let t = pool
-                        .run(source as u32, &mut crate::FixedMN::new(14.0, 24.0))
-                        .expect("query");
-                    assert_eq!(&t.output.levels, want, "source {source}");
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn query_pool_survives_a_panicking_query() {
-        // Inject a panic through the internal dispatch path (an
-        // out-of-range frontier vertex), then prove the pool still serves
-        // clean queries: the panic was that query's typed error, not the
-        // pool's death.
-        let g = Arc::new(xbfs_graph::gen::star(512));
-        let pool = QueryPool::new(Arc::clone(&g), 3).expect("pool");
-        let state = Arc::new(ParState::init(512, 0));
-        let t0 = Instant::now();
-        let err = pool
-            .dispatch(
-                LevelJob::TopDown {
-                    frontier: vec![0, 1_000_000], // second vertex out of range
-                    next_level: 1,
-                },
-                &state,
-                &None,
-                t0,
-            )
-            .expect_err("out-of-range frontier vertex must fail the dispatch");
-        match &err {
-            XbfsError::KernelPanic { payload, .. } => {
-                assert!(payload.contains("index out of bounds"), "{payload}");
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
-        drop(state);
-        // Same pool, fresh queries — repeatedly, to show the reset holds.
-        for _ in 0..3 {
-            let t = pool.run(0, &mut crate::AlwaysTopDown).expect("clean query");
-            assert_eq!(t.output.visited_count(), 512);
-            assert_eq!(crate::validate(&g, &t.output), Ok(()));
-        }
-    }
-
-    #[test]
-    fn query_pool_traced_run_buffers_per_query_events() {
-        let g = Arc::new(xbfs_graph::rmat::rmat_csr(8, 16));
-        let pool = QueryPool::new(Arc::clone(&g), 2).expect("pool");
-        let sink = Arc::new(crate::trace::MemorySink::new());
-        let t = pool
-            .run_traced(
-                0,
-                &mut crate::FixedMN::new(14.0, 24.0),
-                Arc::clone(&sink) as Arc<dyn TraceSink + Send + Sync>,
-            )
-            .expect("query");
-        let events = sink.events();
-        let engine_levels = events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::EngineLevel { .. }))
-            .count();
-        assert_eq!(engine_levels, t.levels.len());
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Kernel { .. })));
     }
 
     #[test]

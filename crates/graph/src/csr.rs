@@ -72,11 +72,11 @@ impl Csr {
 
     /// Build directly from per-vertex sorted adjacency (used by tests/io).
     ///
-    /// Returns `None` unless offsets are monotone, sized `n + 1`, end at
-    /// `column_indices.len()`, every column index is in range, per-vertex
-    /// lists are strictly sorted (canonical) without self-loops, and the
-    /// adjacency is symmetric. Full validation makes this safe on untrusted
-    /// input (the binary decoder feeds it arbitrary bytes).
+    /// Returns `None` unless offsets are monotone, sized `n + 1`, start at
+    /// 0, end at `column_indices.len()`, every column index is in range,
+    /// per-vertex lists are strictly sorted (canonical) without self-loops,
+    /// and the adjacency is symmetric. Full validation makes this safe on
+    /// untrusted input (the binary decoder feeds it arbitrary bytes).
     ///
     /// After the O(V) offset checks, one O(V + E) pass over the rows
     /// decides the rest; see [`Csr::is_symmetric`] for how it matches
@@ -86,7 +86,9 @@ impl Csr {
         row_offsets: Vec<u64>,
         column_indices: Vec<VertexId>,
     ) -> Option<Self> {
-        if row_offsets.len() != num_vertices as usize + 1 {
+        // A nonzero first offset would leave column entries that belong to
+        // no list yet still count in `num_edges()`.
+        if row_offsets.len() != num_vertices as usize + 1 || row_offsets[0] != 0 {
             return None;
         }
         if row_offsets.windows(2).any(|w| w[0] > w[1]) {
@@ -186,17 +188,12 @@ impl Csr {
     }
 
     /// The single pass behind [`Csr::from_parts`], [`Csr::is_symmetric`]
-    /// and [`Csr::is_canonical`]. Assumes the offsets are monotone and end
-    /// at `column_indices.len()`.
+    /// and [`Csr::is_canonical`]. Assumes the offsets start at 0, are
+    /// monotone and end at `column_indices.len()`.
     fn audit(&self) -> Audit {
         let n = self.num_vertices;
         let offsets = &self.row_offsets;
         let columns = &self.column_indices;
-        // Entries before the first row belong to no list but must still
-        // be in range.
-        if columns[..offsets[0] as usize].iter().any(|&c| c >= n) {
-            return Audit::NonCanonical;
-        }
         let mut matched = vec![0u32; vix(n)];
         let mut symmetric = true;
         for u in self.vertices() {
@@ -306,6 +303,8 @@ mod tests {
         assert!(Csr::from_parts(2, vec![0, 2, 4], vec![1, 1, 0, 0]).is_none());
         // Self-loop is non-canonical.
         assert!(Csr::from_parts(1, vec![0, 1], vec![0]).is_none());
+        // Nonzero first offset: the leading entry belongs to no list.
+        assert!(Csr::from_parts(1, vec![1, 1], vec![0]).is_none());
     }
 
     #[test]

@@ -144,11 +144,13 @@ fn the_pristine_spill_fixture_is_trusted() {
 // `DecodeError` variant, on valid graphs and on structured mutations.
 // ---------------------------------------------------------------------------
 
-/// The original `Csr::from_parts` predicate, kept as the oracle: offset
-/// shape, monotone offsets, column range, strictly sorted lists without
-/// self-loops, and symmetry by one binary search per directed entry.
+/// The `Csr::from_parts` predicate written the direct way, kept as the
+/// oracle: offset shape, a zero first offset, monotone offsets, column
+/// range, strictly sorted lists without self-loops, and symmetry by one
+/// binary search per directed entry.
 fn oracle_accepts(n: VertexId, offsets: &[u64], columns: &[VertexId]) -> bool {
     if offsets.len() != n as usize + 1
+        || offsets[0] != 0
         || offsets.windows(2).any(|w| w[0] > w[1])
         || offsets.last() != Some(&(columns.len() as u64))
         || columns.iter().any(|&c| c >= n)
@@ -494,14 +496,21 @@ fn named_asymmetric_and_noncanonical_layouts_are_rejected() {
     assert!(Csr::from_parts(n, offsets, columns).is_some());
 }
 
-/// A non-zero first offset leaves entries outside every list; they are
-/// range-checked but otherwise ignored, as they always were.
+/// A non-zero first offset leaves entries outside every list that would
+/// still count in `num_edges()`; the format rejects it, in range or not.
 #[test]
-fn entries_before_the_first_row_are_only_range_checked() {
-    parts_match_oracle(1, vec![1, 1], vec![0]).unwrap();
-    parts_match_oracle(1, vec![1, 1], vec![1]).unwrap();
-    assert!(Csr::from_parts(1, vec![1, 1], vec![0]).is_some());
-    assert!(Csr::from_parts(1, vec![1, 1], vec![1]).is_none());
+fn entries_before_the_first_row_are_rejected() {
+    for columns in [vec![0], vec![1]] {
+        parts_match_oracle(1, vec![1, 1], columns.clone()).unwrap();
+        assert!(Csr::from_parts(1, vec![1, 1], columns.clone()).is_none());
+        assert_eq!(
+            io::decode_csr(encode_parts(1, &[1, 1], &columns)),
+            Err(DecodeError::Invalid)
+        );
+    }
+    // A zero-vertex graph whose lone offset is nonzero is rejected too.
+    assert!(Csr::from_parts(0, vec![2], vec![0, 0]).is_none());
+    parts_match_oracle(0, vec![2], vec![0, 0]).unwrap();
 }
 
 // ---------------------------------------------------------------------------
