@@ -31,7 +31,7 @@ use crate::recovery::{reference_sequential_penalty, Rung, JITTER_SALT};
 use serde::{Deserialize, Serialize};
 use xbfs_archsim::fault::{FaultCursor, FaultEvent, FaultOp, FaultPlan, FaultSession};
 use xbfs_archsim::{cost, ArchSpec, Link};
-use xbfs_engine::{tree, AlwaysTopDown, FixedMN, TraversalState, XbfsError};
+use xbfs_engine::{tree, AlwaysTopDown, BfsOutput, FixedMN, TraversalState, XbfsError};
 use xbfs_graph::{Bitmap, Csr, VertexId};
 
 /// On-disk format version; bumped on any incompatible layout change.
@@ -161,9 +161,32 @@ impl LevelCheckpoint {
     }
 
     /// Serialized size in bytes — the number a `RunReport` exposes as
-    /// `checkpoint_bytes`.
+    /// `checkpoint_bytes`. Equals `self.to_json().len()` without building
+    /// the text: the checkpoint is serialized with its three per-vertex
+    /// arrays (parents, levels, frontier) left empty, and their exact
+    /// decimal length is added back.
     pub fn byte_size(&self) -> u64 {
-        self.to_json().len() as u64
+        let state = &self.state;
+        let skeleton = LevelCheckpoint {
+            state: TraversalState {
+                output: BfsOutput {
+                    source: state.output.source,
+                    parents: Vec::new(),
+                    levels: Vec::new(),
+                },
+                frontier: Vec::new(),
+                levels: state.levels.clone(),
+                ..*state
+            },
+            placements: self.placements.clone(),
+            events: self.events.clone(),
+            fault_cursor: self.fault_cursor.clone(),
+            ..*self
+        };
+        skeleton.to_json().len() as u64
+            + json_list_len(&state.output.parents)
+            + json_list_len(&state.output.levels)
+            + json_list_len(&state.frontier)
     }
 
     /// Write to `path` as JSON.
@@ -253,6 +276,17 @@ impl LevelCheckpoint {
         }
         bits.iter().collect()
     }
+}
+
+/// What a `u32` array's elements add to its JSON text beyond the
+/// enclosing `[]`: each value's decimal digits, plus the commas between
+/// them.
+fn json_list_len(xs: &[u32]) -> u64 {
+    let digits: u64 = xs
+        .iter()
+        .map(|&x| u64::from(x.checked_ilog10().map_or(1, |d| d + 1)))
+        .sum();
+    digits + xs.len().saturating_sub(1) as u64
 }
 
 fn fault_free(session: &mut FaultSession<'_>, op: FaultOp, level: u32) -> Result<(), XbfsError> {
@@ -393,6 +427,8 @@ pub fn capture_at(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::health::{Device, DeviceHealth};
+    use xbfs_archsim::fault::{CorruptPayload, FaultKind};
 
     fn fixture() -> (Csr, u32, ArchSpec, ArchSpec, Link, CrossParams) {
         let g = xbfs_graph::rmat::rmat_csr(9, 16);
@@ -448,8 +484,117 @@ mod tests {
             assert!(ck.validate_for(&g).is_ok());
             let back = LevelCheckpoint::from_json(&ck.to_json()).expect("parses");
             assert_eq!(back, ck);
-            assert!(ck.byte_size() > 0);
+            assert_eq!(ck.byte_size(), ck.to_json().len() as u64);
         }
+    }
+
+    #[test]
+    fn byte_size_is_the_exact_json_length() {
+        let exact = |ck: &LevelCheckpoint| {
+            assert_eq!(ck.byte_size(), ck.to_json().len() as u64, "{ck:?}");
+        };
+        // Each rung's plain capture is covered by the serde round trip
+        // above.
+        let (g, src, cpu, gpu, link, params) = fixture();
+        let capture = |params: &CrossParams, rung, level| {
+            capture_at(
+                &g,
+                src,
+                &cpu,
+                &gpu,
+                &link,
+                params,
+                &FaultPlan::none(),
+                rung,
+                level,
+            )
+            .expect("capture")
+        };
+
+        // State drained from the device after an immediate handoff.
+        let eager = CrossParams {
+            handoff: FixedMN::new(1e9, 1e9),
+            gpu: params.gpu,
+        };
+        let on_gpu = capture(&eager, Rung::CrossCpuGpu, 2);
+        assert_eq!(on_gpu.residency, Residency::Device);
+        exact(&on_gpu);
+
+        // Fault events of every kind and breakers that have left the
+        // closed state.
+        let mut faulty = on_gpu.clone();
+        faulty.events = vec![
+            FaultEvent {
+                op: FaultOp::Transfer,
+                level: 1,
+                kind: FaultKind::TransferFailure,
+                attempt: 1,
+            },
+            FaultEvent {
+                op: FaultOp::Transfer,
+                level: 1,
+                kind: FaultKind::LinkStall,
+                attempt: 2,
+            },
+            FaultEvent {
+                op: FaultOp::GpuKernel,
+                level: 2,
+                kind: FaultKind::KernelTimeout,
+                attempt: 1,
+            },
+            FaultEvent {
+                op: FaultOp::GpuKernel,
+                level: 3,
+                kind: FaultKind::BitFlip {
+                    payload: CorruptPayload::Parents,
+                    word: u32::MAX,
+                    bit: 31,
+                },
+                attempt: 1,
+            },
+            FaultEvent {
+                op: FaultOp::CpuKernel,
+                level: 4,
+                kind: FaultKind::DeviceLost,
+                attempt: 3,
+            },
+        ];
+        faulty.lost_s = 1.25e-3;
+        faulty.retries = 3;
+        let mut health = DeviceHealth::new(BreakerPolicy::default_runtime(), 7);
+        health.record_failure(Device::Gpu, 0.5, true);
+        for _ in 0..4 {
+            health.record_failure(Device::Link, 0.25, false);
+        }
+        faulty.breakers = health.snapshot();
+        assert_ne!(faulty.breakers, on_gpu.breakers);
+        exact(&faulty);
+
+        // Arrays that are almost all sentinels (10-digit `u32::MAX`).
+        let mut sparse = capture(&params, Rung::CpuOnly, 1);
+        for v in 0..g.num_vertices() {
+            if v != src {
+                sparse.state.output.parents[v as usize] = xbfs_graph::NO_PARENT;
+                sparse.state.output.levels[v as usize] = xbfs_engine::UNREACHED;
+            }
+        }
+        sparse.state.frontier.clear();
+        exact(&sparse);
+
+        // Zero and every digit-count boundary up to 10-digit ids.
+        let mut wide = sparse.clone();
+        let mut edges = vec![0u32, 1, u32::MAX - 1, u32::MAX];
+        for p in 1..=9 {
+            edges.extend([10u32.pow(p) - 1, 10u32.pow(p)]);
+        }
+        for (i, &x) in edges.iter().enumerate() {
+            wide.state.output.parents[i] = x;
+            wide.state.output.levels[i] = edges[edges.len() - 1 - i];
+        }
+        wide.state.frontier = edges.clone();
+        exact(&wide);
+        wide.state.frontier = vec![0];
+        exact(&wide);
     }
 
     #[test]

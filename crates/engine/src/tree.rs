@@ -76,6 +76,11 @@ pub fn subtree_sizes(out: &BfsOutput) -> Vec<u64> {
 /// shallower, across a real edge — without requiring the traversal to be
 /// finished. The recovery subsystem runs this over a deserialized
 /// checkpoint before trusting it.
+///
+/// Like [`validate`](crate::validate::validate), it looks up the tree edge
+/// `(p, v)` in `v`'s own row rather than in the parent's, which gives the
+/// same answer because every [`Csr`] is symmetric, and avoids a binary
+/// search through a hub's long row for each of its children.
 pub fn partial_tree_violation(csr: &Csr, out: &BfsOutput) -> Option<String> {
     let n = csr.num_vertices();
     if out.parents.len() != n as usize || out.levels.len() != n as usize {
@@ -105,13 +110,15 @@ pub fn partial_tree_violation(csr: &Csr, out: &BfsOutput) -> Option<String> {
         if p >= n || out.parents[p as usize] == NO_PARENT {
             return Some(format!("vertex {v}: parent {p} is unvisited"));
         }
-        if out.levels[p as usize] + 1 != l {
+        // A parent whose level is `UNREACHED` wraps to 0 here instead of
+        // overflowing; it is reported when the loop reaches the parent.
+        if out.levels[p as usize].wrapping_add(1) != l {
             return Some(format!(
                 "vertex {v} at level {l}, parent {p} at level {}",
                 out.levels[p as usize]
             ));
         }
-        if !csr.has_edge(p, v) {
+        if !csr.has_edge(v, p) {
             return Some(format!("tree edge {p} -> {v} is not a graph edge"));
         }
     }

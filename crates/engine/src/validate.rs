@@ -75,6 +75,12 @@ impl std::error::Error for ValidationError {}
 
 /// Validate `out` as a BFS of `csr` from `out.source`.
 ///
+/// Each tree edge `(parents[v], v)` is looked up in `v`'s own row. That
+/// answers the same question as searching the parent's row, because every
+/// [`Csr`] is symmetric (its constructors check or build it so), and it
+/// keeps the search short: on R-MAT the parent is usually a hub whose row
+/// holds 10⁴–10⁵ entries, while most vertices have short rows.
+///
 /// # Examples
 /// ```
 /// use xbfs_engine::{topdown, validate};
@@ -112,7 +118,7 @@ pub fn validate(csr: &Csr, out: &BfsOutput) -> Result<(), ValidationError> {
         if p as usize >= n {
             return Err(ValidationError::PhantomTreeEdge { v });
         }
-        if !csr.has_edge(p, v) {
+        if !csr.has_edge(v, p) {
             return Err(ValidationError::PhantomTreeEdge { v });
         }
         if out.levels[p as usize] == UNREACHED || out.levels[vi] != out.levels[p as usize] + 1 {

@@ -1,7 +1,8 @@
 //! Compressed sparse row adjacency — the storage every BFS kernel traverses.
 
 use crate::{vix, EdgeList, VertexId};
-use serde::{Deserialize, Serialize};
+use serde::de::{self, Deserialize};
+use serde::{Serialize, Value};
 
 /// An undirected graph in CSR form.
 ///
@@ -14,7 +15,12 @@ use serde::{Deserialize, Serialize};
 /// `num_edges()` reports the number of *undirected* edges; the adjacency
 /// array holds `2 * num_edges()` entries. This matches the paper's
 /// `|E| = edgefactor × 2^SCALE` accounting.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Every `Csr` is symmetric and canonical: [`Csr::from_edge_list`] builds
+/// it so, and [`Csr::from_parts`] — which deserialization also goes
+/// through — checks it. The validators rely on symmetry to look up a tree
+/// edge in either endpoint's row.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct Csr {
     num_vertices: VertexId,
     /// `num_vertices + 1` offsets into `column_indices`.
@@ -238,6 +244,22 @@ enum Audit {
     Sound,
 }
 
+/// Deserialization runs every [`Csr::from_parts`] check, so a graph read
+/// from JSON holds the same invariants as one decoded from `.xbfs` bytes.
+impl Deserialize for Csr {
+    fn from_value(v: &Value) -> Result<Self, de::Error> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| de::Error::custom("expected object for \"Csr\""))?;
+        Csr::from_parts(
+            de::field(obj, "num_vertices")?,
+            de::field(obj, "row_offsets")?,
+            de::field(obj, "column_indices")?,
+        )
+        .ok_or_else(|| de::Error::custom("Csr fails the from_parts checks"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,6 +344,45 @@ mod tests {
         let g = triangle();
         // offsets: 4 * 8 bytes, columns: 6 * 4 bytes.
         assert_eq!(g.storage_bytes(), 4 * 8 + 6 * 4);
+    }
+
+    #[test]
+    fn deserialize_runs_the_from_parts_checks() {
+        // Offsets past the column array.
+        let bad = r#"{"num_vertices":2,"row_offsets":[0,3,1],"column_indices":[7]}"#;
+        assert!(serde_json::from_str::<Csr>(bad).is_err());
+        // Well-formed arrays, but 0→1 has no mirror.
+        let asym = r#"{"num_vertices":2,"row_offsets":[0,1,1],"column_indices":[1]}"#;
+        assert!(serde_json::from_str::<Csr>(asym).is_err());
+        let missing = r#"{"num_vertices":2,"row_offsets":[0,1,2]}"#;
+        assert!(serde_json::from_str::<Csr>(missing).is_err());
+        assert!(serde_json::from_str::<Csr>("[0,1]").is_err());
+    }
+
+    #[test]
+    fn serde_round_trip_of_every_generator_family() {
+        use crate::gen;
+        let graphs = [
+            Csr::from_edge_list(&EdgeList::new(0)),
+            triangle(),
+            gen::path(7),
+            gen::cycle(6),
+            gen::star(9),
+            gen::complete(5),
+            gen::grid(4, 5),
+            gen::binary_tree(15),
+            gen::two_cliques(4),
+            gen::uniform_random(64, 256, 3),
+            gen::barabasi_albert(64, 3, 5),
+            gen::watts_strogatz(64, 4, 0.2, 7),
+            gen::road_like(6, 7, 5, 11),
+            crate::rmat::rmat_csr(8, 8),
+        ];
+        for g in graphs {
+            let json = serde_json::to_string(&g).expect("serializes");
+            let back: Csr = serde_json::from_str(&json).expect("round trip parses");
+            assert_eq!(back, g);
+        }
     }
 
     #[test]

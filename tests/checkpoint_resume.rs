@@ -230,6 +230,7 @@ proptest! {
         let back = LevelCheckpoint::from_json(&ck.to_json()).expect("parses");
         prop_assert_eq!(&back, &ck);
         prop_assert_eq!(back.byte_size(), ck.byte_size());
+        prop_assert_eq!(ck.byte_size(), ck.to_json().len() as u64);
     }
 
     /// Fault-free "checkpoint at ℓ then resume" produces a tree identical
